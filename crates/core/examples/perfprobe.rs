@@ -10,10 +10,7 @@
 //! (blocked-vs-naive GEMM, SoA-vs-AoS traversal) — `BENCH_remarks.json`
 //! with per-pass applied/missed optimizer-remark counts for the GEMM
 //! kernel, so a pass silently going quiet (or noisy) shows up as a diff
-//! too — `BENCH_absint.json` with checked-vs-elided retired
-//! instruction counts for staged-constant kernels, proving the abstract
-//! interpreter's bounds-check elision actually pays — and
-//! `BENCH_heap.json` with the allocation-site heap profile of a staged
+//! too — `BENCH_heap.json` with the allocation-site heap profile of a staged
 //! kernel carrying a seeded quote-generated leak, so site attribution,
 //! staging provenance, and the leak report all stay pinned in CI — and
 //! `BENCH_replay.json` with the flight recorder's footprint on a
@@ -86,79 +83,6 @@ const LAYOUT_SRC: &str = r#"
         end
     "#;
 
-/// Staged-constant kernels for the check-elision benchmark: each splices a
-/// Lua-level `N` into its loop bounds and `malloc` sizes, so the abstract
-/// interpreter can prove every inner access in-bounds at `-O2`. The kernels
-/// allocate and initialize their own buffers (a constant-size heap
-/// allocation is a provable base; a caller-passed pointer is not).
-const GEMM_STATIC_SRC: &str = r#"
-        local std = terralib.includec("stdlib.h")
-        local N = 24
-        terra gemm_static() : double
-            var A = [&double](std.malloc([N * N * 8]))
-            var B = [&double](std.malloc([N * N * 8]))
-            var D = [&double](std.malloc([N * N * 8]))
-            for i = 0, [N * N] do
-                A[i] = 1.0
-                B[i] = 2.0
-            end
-            for i = 0, [N] do
-                for j = 0, [N] do
-                    var sum = 0.0
-                    for k = 0, [N] do
-                        sum = sum + A[i * [N] + k] * B[k * [N] + j]
-                    end
-                    D[i * [N] + j] = sum
-                end
-            end
-            var r = D[0]
-            std.free([&int8](A))
-            std.free([&int8](B))
-            std.free([&int8](D))
-            return r
-        end
-    "#;
-
-const SAXPY_STATIC_SRC: &str = r#"
-        local std = terralib.includec("stdlib.h")
-        local N = 4096
-        terra saxpy_static() : double
-            var X = [&double](std.malloc([N * 8]))
-            var Y = [&double](std.malloc([N * 8]))
-            for i = 0, [N] do
-                X[i] = 1.0
-                Y[i] = 0.5
-            end
-            for i = 0, [N] do
-                Y[i] = Y[i] + 2.0 * X[i]
-            end
-            var r = Y[0]
-            std.free([&int8](X))
-            std.free([&int8](Y))
-            return r
-        end
-    "#;
-
-const STENCIL_STATIC_SRC: &str = r#"
-        local std = terralib.includec("stdlib.h")
-        local N = 1024
-        terra stencil_static() : double
-            var I = [&double](std.malloc([N * 8]))
-            var O = [&double](std.malloc([N * 8]))
-            for i = 0, [N] do
-                I[i] = 1.0
-                O[i] = 0.0
-            end
-            for i = 1, [N - 1] do
-                O[i] = (I[i - 1] + I[i] + I[i + 1]) * (1.0 / 3.0)
-            end
-            var r = O[1]
-            std.free([&int8](I))
-            std.free([&int8](O))
-            return r
-        end
-    "#;
-
 /// Heap-profiler fixture: three staged-malloc buffers, one deliberately
 /// leaked. The mallocs expand from a Lua quote, so every site in the heap
 /// profile must carry a "via quote at line N" provenance chain.
@@ -226,23 +150,6 @@ fn heap_bench_json(stats: &terra_core::HeapStats) -> String {
     json
 }
 
-/// One profiled run of a staged-constant kernel at `-O2` with elision on or
-/// off; returns (retired instructions, memory accesses, checked accesses,
-/// kernel result).
-fn absint_counts(src: &str, fname: &str, elide: bool) -> (u64, u64, u64, Value) {
-    let mut t = Terra::new();
-    t.set_opt_level(OptLevel::O2);
-    t.set_check_elim(elide);
-    t.exec(src).unwrap();
-    let f = t.function(fname).unwrap();
-    t.set_profile(true);
-    t.reset_profile();
-    let got = t.invoke(&f, &[]).unwrap();
-    let p = t.profile();
-    let accesses = p.mem.total_loads() + p.mem.total_stores();
-    (p.total_instructions(), accesses, p.op_count("chk"), got)
-}
-
 /// One flight-recorded matmul run at `-O0` (the million-instruction
 /// workload); returns the finished coarse recording.
 fn matmul_recording(n: usize) -> terra_core::Recording {
@@ -254,14 +161,7 @@ fn matmul_recording(n: usize) -> terra_core::Recording {
     let (a, b, c) = (t.malloc(bytes), t.malloc(bytes), t.malloc(bytes));
     t.write_f64s(a, &vec![1.0; n * n]);
     t.write_f64s(b, &vec![2.0; n * n]);
-    t.set_record(terra_core::RecMeta {
-        script: format!("matmul_{n}"),
-        opt: 0,
-        checkelim: true,
-        sanitize: false,
-        cadence: terra_core::DEFAULT_CADENCE,
-        window: None,
-    });
+    t.set_record(terra_core::RecMeta::coarse(&format!("matmul_{n}"), 0));
     t.invoke(
         &f,
         &[
@@ -553,62 +453,6 @@ fn main() {
     json.push_str("  ]\n}\n");
     std::fs::write("BENCH_remarks.json", &json).unwrap();
     println!("wrote BENCH_remarks.json");
-
-    // Checked vs elided retired-instruction counts for the staged-constant
-    // kernels. Every access the abstract interpreter proves in-bounds stops
-    // retiring its "chk" micro-op, so the elided total must come in strictly
-    // below the checked baseline — and for GEMM at least 30% of all memory
-    // accesses must be proven check-free.
-    let absint_kernels = [
-        ("gemm_static_24", GEMM_STATIC_SRC, "gemm_static", 48.0),
-        ("saxpy_static_4096", SAXPY_STATIC_SRC, "saxpy_static", 2.5),
-        (
-            "stencil_static_1024",
-            STENCIL_STATIC_SRC,
-            "stencil_static",
-            1.0,
-        ),
-    ];
-    let mut json = String::from("{\n  \"kernels\": [\n");
-    for (i, (name, src, fname, expect)) in absint_kernels.iter().enumerate() {
-        let (checked_instrs, accs, chk_on, got) = absint_counts(src, fname, false);
-        let (elided_instrs, accs2, chk_off, got2) = absint_counts(src, fname, true);
-        assert_eq!(got, got2, "{name}: elision changed the kernel's result");
-        assert_eq!(got, Value::Float(*expect), "{name}: wrong result");
-        assert_eq!(accs, accs2, "{name}: elision changed the access count");
-        assert_eq!(chk_on, accs, "{name}: baseline must check every access");
-        let elided = accs - chk_off;
-        let pct = 100.0 * elided as f64 / accs as f64;
-        assert!(
-            elided_instrs < checked_instrs,
-            "{name}: elided run must retire strictly fewer instructions \
-             ({elided_instrs} vs {checked_instrs})"
-        );
-        if *fname == "gemm_static" {
-            assert!(
-                pct >= 30.0,
-                "GEMM: expected at least 30% of accesses proven check-free, got {pct:.1}%"
-            );
-        }
-        let sep = if i + 1 == absint_kernels.len() {
-            ""
-        } else {
-            ","
-        };
-        let _ = writeln!(
-            json,
-            "    {{\"name\": \"{name}\", \"instructions_checked\": {checked_instrs}, \
-             \"instructions_elided\": {elided_instrs}, \"accesses_total\": {accs}, \
-             \"accesses_elided\": {elided}, \"proven_pct\": {pct:.2}}}{sep}"
-        );
-        println!(
-            "{name}: {checked_instrs} -> {elided_instrs} instructions, \
-             {elided}/{accs} accesses proven check-free ({pct:.1}%)"
-        );
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write("BENCH_absint.json", &json).unwrap();
-    println!("wrote BENCH_absint.json");
 
     // Allocation-site heap profile of the seeded-leak kernel. The staged
     // mallocs must carry their quote provenance, exactly one allocation must

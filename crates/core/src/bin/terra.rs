@@ -26,10 +26,6 @@
 //!                     core count; the chunk schedule depends only on the
 //!                     iteration count, so results, traps, and profiles are
 //!                     identical at every N)
-//!   --no-checkelim    keep every memory access bounds-checked at -O2 (by
-//!                     default the abstract interpreter proves accesses
-//!                     in-bounds and the VM elides their runtime checks;
-//!                     --sanitize overrides elision at runtime regardless)
 //!   --profile         collect staging/VM/memory counters and print a profile
 //!                     report after the program finishes
 //!   --heap-profile    attribute every heap allocation to its (function,
@@ -89,7 +85,6 @@ fn main() {
     // Mirror of the configuration applied to `t`, captured into recording
     // metadata so `--replay` can reconstruct the run.
     let mut opt_num: u8 = 2;
-    let mut checkelim = true;
     let mut sanitize = false;
     while let Some(first) = argv.first().map(|s| s.as_str()) {
         match first {
@@ -101,11 +96,6 @@ fn main() {
             "--sanitize" => {
                 sanitize = true;
                 t.set_sanitize(true);
-                argv.remove(0);
-            }
-            "--no-checkelim" => {
-                checkelim = false;
-                t.set_check_elim(false);
                 argv.remove(0);
             }
             _ if first.starts_with("-O") => {
@@ -355,7 +345,6 @@ fn main() {
                 t.set_record(terra_core::RecMeta {
                     script: path.clone(),
                     opt: opt_num,
-                    checkelim,
                     sanitize,
                     cadence: terra_core::DEFAULT_CADENCE,
                     window: None,
@@ -452,7 +441,6 @@ fn record_run(meta: &terra_core::RecMeta) -> Result<terra_core::Recording, Strin
         Some(level) => t.set_opt_level(level),
         None => return Err(format!("recording names unknown opt level {}", meta.opt)),
     }
-    t.set_check_elim(meta.checkelim);
     t.set_sanitize(meta.sanitize);
     t.capture_output();
     t.set_record(meta.clone());

@@ -114,15 +114,6 @@ impl Terra {
         self.interp.opt = level;
     }
 
-    /// Enables or disables bounds-check elision (`--no-checkelim` clears
-    /// it; the default is on). At `-O2` the abstract interpreter proves
-    /// accesses in-bounds and the VM runs them without runtime checks;
-    /// disabling this keeps every access checked. The sanitizer overrides
-    /// elision at runtime either way, so `--sanitize` needs no recompile.
-    pub fn set_check_elim(&mut self, on: bool) {
-        self.interp.elide_checks = on;
-    }
-
     /// The current mid-end optimization level.
     pub fn opt_level(&self) -> OptLevel {
         self.interp.opt

@@ -147,7 +147,7 @@ prog(64)
     let text_a = std::fs::read_to_string(&rec_a).unwrap();
     let text_b = std::fs::read_to_string(&rec_b).unwrap();
     assert!(
-        text_a.starts_with("#terra-rec v1\n"),
+        text_a.starts_with("#terra-rec v2\n"),
         "format_version header first: {}",
         &text_a[..text_a.len().min(80)]
     );

@@ -55,10 +55,6 @@ pub struct Interp {
     /// Changing it affects functions compiled after the change; already-
     /// compiled functions keep their code.
     pub opt: terra_ir::OptLevel,
-    /// Whether the `-O2` pipeline may elide bounds checks the abstract
-    /// interpreter proves redundant (`--no-checkelim` clears it). The VM
-    /// additionally ignores elisions at runtime under the sanitizer.
-    pub elide_checks: bool,
 }
 
 impl Default for Interp {
@@ -79,7 +75,6 @@ impl Interp {
             lint: false,
             diagnostics: Vec::new(),
             opt: terra_ir::OptLevel::default(),
-            elide_checks: true,
         };
         crate::stdlib::install(&mut interp);
         interp

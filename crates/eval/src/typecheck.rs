@@ -165,22 +165,6 @@ pub fn ensure_compiled(interp: &mut Interp, id: FuncId, span: Span) -> EvalResul
         }
     }
     let mut ir = ir;
-    // Interprocedural summaries over this function plus every dependency
-    // whose IR is materialized: the abstract interpreter uses them to refine
-    // call returns and check call sites against callee access demands, both
-    // in lint mode and in the check-elision pass.
-    let sums = {
-        let mut fns: Vec<(FuncId, IrFunction)> = vec![(id, ir.clone())];
-        for dep in &deps {
-            if *dep != id {
-                if let Some(dir) = interp.ctx.funcs[dep.0 as usize].ir.clone() {
-                    fns.push((*dep, dir));
-                }
-            }
-        }
-        let env = CtxEnv { ctx: &interp.ctx };
-        terra_ir::summarize(&fns, Some(&interp.ctx.types), &env)
-    };
     // Every function passes the IR verifier between lowering and
     // compilation: a failure here means the typechecker produced
     // inconsistent IR, and is reported instead of miscompiled. Lint mode
@@ -191,6 +175,19 @@ pub fn ensure_compiled(interp: &mut Interp, id: FuncId, span: Span) -> EvalResul
     let mut diags = {
         let env = CtxEnv { ctx: &interp.ctx };
         if interp.lint {
+            // Interprocedural summaries over this function plus every
+            // dependency whose IR is materialized: the abstract interpreter
+            // uses them to refine call returns and check call sites against
+            // callee access demands.
+            let mut fns: Vec<(FuncId, &IrFunction)> = vec![(id, &ir)];
+            for dep in &deps {
+                if *dep != id {
+                    if let Some(dir) = &interp.ctx.funcs[dep.0 as usize].ir {
+                        fns.push((*dep, dir));
+                    }
+                }
+            }
+            let sums = terra_ir::summarize(&fns, Some(&interp.ctx.types), &env);
             let mut lint_ir = ir.clone();
             fold_function(&mut lint_ir);
             terra_ir::analyze_function_with(&lint_ir, Some(&interp.ctx.types), &env, Some(&sums))
@@ -226,8 +223,6 @@ pub fn ensure_compiled(interp: &mut Interp, id: FuncId, span: Span) -> EvalResul
             types: Some(&interp.ctx.types),
             env: &env,
             inline: &env,
-            summaries: Some(&sums),
-            elide_checks: interp.elide_checks,
         };
         terra_ir::optimize(&mut ir, &cfg)
     };

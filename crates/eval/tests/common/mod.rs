@@ -20,18 +20,16 @@ use terra_trace::{replay, RecMeta, Recording};
 #[derive(Debug, Clone, Copy)]
 pub struct RecConfig {
     pub opt: OptLevel,
-    pub elide_checks: bool,
     pub threads: usize,
     pub sanitize: bool,
 }
 
 impl RecConfig {
-    /// A default configuration at the given opt level (checks elided,
-    /// one thread, no sanitizer) — the common differential axis.
+    /// A default configuration at the given opt level (one thread, no
+    /// sanitizer) — the common differential axis.
     pub fn at(opt: OptLevel) -> Self {
         RecConfig {
             opt,
-            elide_checks: true,
             threads: 1,
             sanitize: false,
         }
@@ -50,7 +48,6 @@ impl RecConfig {
             // These runs re-execute from in-memory source, not a file.
             script: "<generated>".to_string(),
             opt: self.opt_num(),
-            checkelim: self.elide_checks,
             sanitize: self.sanitize,
             // Tight cadence: generated programs are small, and small
             // windows keep the full-fidelity re-record cheap.
@@ -70,7 +67,6 @@ pub fn record_at(
 ) -> Result<Recording, String> {
     let mut t = Interp::new();
     t.opt = cfg.opt;
-    t.elide_checks = cfg.elide_checks;
     t.ctx.exec.set_threads(cfg.threads);
     if cfg.sanitize {
         t.ctx.exec.memory.set_sanitize(true);

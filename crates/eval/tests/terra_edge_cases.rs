@@ -323,6 +323,20 @@ fn pointer_difference_and_indexing_agree() {
 }
 
 #[test]
+fn malloc_of_unrepresentable_size_returns_nil() {
+    // -1 converts to the largest size_t, which no heap block can hold: the
+    // allocation fails the C way instead of wrapping to a tiny block.
+    let src = r#"
+        local C = terralib.includec("stdlib.h")
+        terra f() : bool
+            return C.malloc(-1) == nil
+        end
+        if f() then return 1 else return 0 end
+    "#;
+    assert_eq!(eval_num(src), 1.0);
+}
+
+#[test]
 fn array_decay_to_pointer_param() {
     let src = r#"
         terra sum(p : &int, n : int) : int

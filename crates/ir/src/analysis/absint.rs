@@ -1,35 +1,21 @@
 //! Forward abstract interpretation over the typed IR: per-local integer
 //! intervals (wrapping-aware), pointer nullness, and allocation-size facts.
 //!
-//! One walker serves three consumers:
+//! The walker serves the `--lint` definite-bug checks: definite
+//! out-of-bounds, definite null dereference, definite division by zero, and
+//! guaranteed integer overflow — all *definite-only*: a finding means the
+//! bad operation executes on every path that reaches it, so clean programs
+//! stay clean. Findings carry the staging provenance of the offending
+//! statement. A bounded interprocedural fixpoint ([`summarize`]) computes,
+//! per function, the return-value fact and a per-pointer-parameter *demand*
+//! (bytes the callee unconditionally accesses), consumed at call sites for
+//! extra precision and caller-side lints.
 //!
-//! * **Lints** (`--lint`): definite out-of-bounds, definite null dereference,
-//!   definite division by zero, and guaranteed integer overflow — all
-//!   *definite-only*: a finding means the bad operation executes on every
-//!   path that reaches it, so clean programs stay clean. Findings carry the
-//!   staging provenance of the offending statement.
-//! * **Check elision** (`checkelim` pass at `-O2`): accesses whose address
-//!   is proven inside its allocation are stamped into [`IrStmt::nochk`];
-//!   the VM compiles those without runtime bounds checks.
-//! * **Summaries**: a bounded interprocedural fixpoint computes, per
-//!   function, the return-value fact and a per-pointer-parameter *demand*
-//!   (bytes the callee unconditionally accesses), consumed at call sites
-//!   for extra precision and caller-side lints.
-//!
-//! ## Soundness of elision
-//!
-//! The VM's runtime check (`memory.rs::check`) rejects accesses below the
-//! null guard or past the end of linear memory, plus — only under
-//! `--sanitize` — accesses overlapping freed blocks. Frame objects, globals,
-//! and malloc'd blocks all live inside linear memory, and linear memory
-//! never shrinks, so an access proven within `[0, size)` of such an object
-//! can never fail the non-sanitize check — even after `free`. Elision is
-//! therefore invisible without the sanitizer; *with* the sanitizer the VM
-//! ignores the elision flag entirely (the fast-path accessors fall back to
-//! the checked path), so the use-after-free oracle is untouched.
+//! Separately, [`proven_const_access`] gives LICM a state-free in-bounds
+//! proof for hoisting loads off in-memory locals.
 //!
 //! Pointer parameters are never assumed valid (functions are callable from
-//! the host with arbitrary pointers), so intraprocedural proofs only ever
+//! the host with arbitrary pointers), so intraprocedural facts only ever
 //! rest on objects the function itself can see: its frame, globals, string
 //! constants, and `malloc` calls with stage-time-constant sizes.
 
@@ -40,7 +26,6 @@ use crate::ir::{
     LocalId, LocalSlot, StmtKind, UnKind,
 };
 use crate::passes::util::{collect_assigned, LocalSet};
-use crate::passes::Remark;
 use crate::types::{ScalarTy, Ty, TypeRegistry};
 use std::collections::HashMap;
 use terra_syntax::{Provenance, Span};
@@ -130,7 +115,7 @@ impl Summaries {
 /// rounds): round one sees unknown callees (sound), later rounds refine
 /// through call chains. Order-insensitive by construction.
 pub fn summarize(
-    fns: &[(FuncId, IrFunction)],
+    fns: &[(FuncId, &IrFunction)],
     types: Option<&TypeRegistry>,
     env: &dyn ModuleEnv,
 ) -> Summaries {
@@ -155,9 +140,8 @@ fn summarize_one(
     env: &dyn ModuleEnv,
     sums: &Summaries,
 ) -> FnSummary {
-    let mut body = f.body.clone();
     let mut interp = Interp::new(f, types, env, Some(sums), Mode::Summary);
-    interp.block(&mut body);
+    interp.block(&f.body);
     let ret = interp.ret.take().map(sanitize_ret);
     FnSummary {
         ret,
@@ -189,24 +173,8 @@ pub(super) fn lint(
     sums: Option<&Summaries>,
     diags: &mut Vec<Diagnostic>,
 ) {
-    let mut body = f.body.clone();
     let mut interp = Interp::new(f, types, env, sums, Mode::Lint(diags));
-    interp.block(&mut body);
-}
-
-/// Stamps proven-in-bounds accesses into each statement's
-/// [`nochk`](IrStmt::nochk) list and emits `checkelim` remarks. Called by
-/// the `checkelim` pass with the function body taken out of `f`.
-pub(crate) fn annotate(
-    f: &IrFunction,
-    body: &mut [IrStmt],
-    types: Option<&TypeRegistry>,
-    env: &dyn ModuleEnv,
-    sums: Option<&Summaries>,
-    remarks: &mut Vec<Remark>,
-) {
-    let mut interp = Interp::new(f, types, env, sums, Mode::Elide(remarks));
-    interp.block(body);
+    interp.block(&f.body);
 }
 
 /// State-free proof for LICM: whether an access of `size` bytes through
@@ -323,8 +291,6 @@ fn contains_break(stmts: &[IrStmt]) -> bool {
 enum Mode<'m> {
     /// Emit definite-bug diagnostics.
     Lint(&'m mut Vec<Diagnostic>),
-    /// Stamp proven accesses and emit checkelim remarks.
-    Elide(&'m mut Vec<Remark>),
     /// Collect return/demand facts only.
     Summary,
 }
@@ -335,10 +301,12 @@ enum Flow {
 }
 
 enum Verdict {
-    Proven,
+    /// In bounds, or not decidable at stage time: nothing to report.
+    Clean,
     DefiniteNull,
-    DefiniteOob { detail: String },
-    Unknown { reason: String },
+    DefiniteOob {
+        detail: String,
+    },
 }
 
 struct Interp<'a> {
@@ -354,11 +322,6 @@ struct Interp<'a> {
     demand: Vec<Option<u64>>,
     /// Branch/loop nesting depth; 0 means unconditionally reached.
     depth: u32,
-    /// Loop nesting depth (missed-elision remarks only fire inside loops,
-    /// where a kept check actually costs per iteration).
-    loop_depth: u32,
-    /// Proven address expressions of the statement being walked.
-    pending: Vec<IrExpr>,
     cur_span: Span,
     cur_prov: Option<Provenance>,
 }
@@ -412,8 +375,6 @@ impl<'a> Interp<'a> {
             ret: None,
             demand: vec![None; f.param_count()],
             depth: 0,
-            loop_depth: 0,
-            pending: Vec::new(),
             cur_span: Span::synthetic(),
             cur_prov: None,
         }
@@ -457,8 +418,8 @@ impl<'a> Interp<'a> {
     // Statement walk.
     // -----------------------------------------------------------------
 
-    fn block(&mut self, stmts: &mut [IrStmt]) -> Flow {
-        for s in stmts.iter_mut() {
+    fn block(&mut self, stmts: &[IrStmt]) -> Flow {
+        for s in stmts {
             if let Flow::Terminated = self.stmt(s) {
                 // Anything after a terminator is unreachable; the dataflow
                 // pass reports it, we just don't analyze it.
@@ -468,42 +429,31 @@ impl<'a> Interp<'a> {
         Flow::FallThrough
     }
 
-    fn stmt(&mut self, s: &mut IrStmt) -> Flow {
+    fn stmt(&mut self, s: &IrStmt) -> Flow {
         self.cur_span = s.span;
         self.cur_prov = s.prov.clone();
-        let mut own: Vec<IrExpr> = Vec::new();
-        let flow = match &mut s.kind {
+        match &s.kind {
             StmtKind::Assign { dst, value } => {
-                let dst = *dst;
                 let v = self.eval(value);
-                own = std::mem::take(&mut self.pending);
-                self.set(dst, v);
+                self.set(*dst, v);
                 Flow::FallThrough
             }
             StmtKind::Store { addr, value } => {
                 let size = self.size_of(&value.ty);
                 self.eval(value);
                 let av = self.eval(addr);
-                self.access(addr, &av, size, "store");
-                own = std::mem::take(&mut self.pending);
+                self.access(&av, size, "store");
                 Flow::FallThrough
             }
             StmtKind::CopyMem { dst, src, size } => {
-                let size = *size;
                 let dv = self.eval(dst);
                 let sv = self.eval(src);
-                // The VM's CopyMem is one instruction over two addresses;
-                // both must be proven for the check to go away, which falls
-                // out naturally: the compiler only drops the check when
-                // every address of the instruction is stamped.
-                self.access(dst, &dv, Some(size), "copy destination");
-                self.access(src, &sv, Some(size), "copy source");
-                own = std::mem::take(&mut self.pending);
+                self.access(&dv, Some(*size), "copy destination");
+                self.access(&sv, Some(*size), "copy source");
                 Flow::FallThrough
             }
             StmtKind::Expr(e) => {
                 self.eval(e);
-                own = std::mem::take(&mut self.pending);
                 Flow::FallThrough
             }
             StmtKind::If {
@@ -512,7 +462,6 @@ impl<'a> Interp<'a> {
                 else_body,
             } => {
                 let c = self.eval(cond);
-                own = std::mem::take(&mut self.pending);
                 self.walk_if(&c, cond, then_body, else_body)
             }
             StmtKind::While { cond, body } => {
@@ -523,16 +472,13 @@ impl<'a> Interp<'a> {
                 collect_assigned(body, &mut writes);
                 self.widen(&writes);
                 let c = self.eval(cond);
-                own = std::mem::take(&mut self.pending);
                 if !self.definitely_false(&c) {
                     let saved = self.state.clone();
                     let feasible = self.refine(cond, true);
                     if feasible {
                         self.depth += 1;
-                        self.loop_depth += 1;
                         let _ = self.block(body);
                         self.depth -= 1;
-                        self.loop_depth -= 1;
                     }
                     self.state = saved;
                     if !contains_break(body) {
@@ -549,12 +495,10 @@ impl<'a> Interp<'a> {
                 step,
                 body,
             } => {
-                let var = *var;
                 let sv = self.eval(start);
                 let ev = self.eval(stop);
                 let stv = self.eval(step);
-                own = std::mem::take(&mut self.pending);
-                self.walk_for(var, &sv, &ev, &stv, body);
+                self.walk_for(*var, &sv, &ev, &stv, body);
                 Flow::FallThrough
             }
             StmtKind::ParallelFor {
@@ -564,16 +508,14 @@ impl<'a> Interp<'a> {
                 // own function is; only the operand expressions run here.
                 self.eval(start);
                 self.eval(stop);
-                for a in args.iter_mut() {
+                for a in args {
                     self.eval(a);
                 }
-                own = std::mem::take(&mut self.pending);
                 Flow::FallThrough
             }
             StmtKind::Return(e) => {
                 if let Some(e) = e {
                     let v = self.eval(e);
-                    own = std::mem::take(&mut self.pending);
                     self.ret = Some(match self.ret.take() {
                         Some(prev) => join_absval(&prev, &v),
                         None => v,
@@ -582,19 +524,15 @@ impl<'a> Interp<'a> {
                 Flow::Terminated
             }
             StmtKind::Break => Flow::Terminated,
-        };
-        if !own.is_empty() {
-            s.nochk.append(&mut own);
         }
-        flow
     }
 
     fn walk_if(
         &mut self,
         c: &AbsVal,
         cond: &IrExpr,
-        then_body: &mut [IrStmt],
-        else_body: &mut [IrStmt],
+        then_body: &[IrStmt],
+        else_body: &[IrStmt],
     ) -> Flow {
         if self.definitely_true(c) {
             return self.block(then_body);
@@ -644,7 +582,7 @@ impl<'a> Interp<'a> {
         start: &AbsVal,
         stop: &AbsVal,
         step: &AbsVal,
-        body: &mut [IrStmt],
+        body: &[IrStmt],
     ) {
         let bounds = match (start, stop) {
             (AbsVal::Int(s), AbsVal::Int(e)) => Some((*s, *e)),
@@ -671,10 +609,8 @@ impl<'a> Interp<'a> {
             self.state.clone()
         };
         self.depth += 1;
-        self.loop_depth += 1;
         let _ = self.block(body);
         self.depth -= 1;
-        self.loop_depth -= 1;
         self.state = saved_outside;
         // After the loop the variable has run past the bound; drop its fact.
         self.widen(&{
@@ -858,7 +794,7 @@ impl<'a> Interp<'a> {
             ExprKind::Load(addr) => {
                 let size = self.size_of(&e.ty);
                 let av = self.eval(addr);
-                self.access(addr, &av, size, "load");
+                self.access(&av, size, "load");
                 AbsVal::Any
             }
             ExprKind::Binary { op, lhs, rhs } => self.eval_binary(e, *op, lhs, rhs),
@@ -1081,12 +1017,15 @@ impl<'a> Interp<'a> {
         match callee {
             Callee::Builtin(b) => match b {
                 Builtin::Malloc => {
+                    // The VM's malloc returns null only when the block
+                    // cannot be represented or reserved, far beyond any
+                    // 32-bit size; a larger or unknown size may fail.
                     let size = match argv.first() {
-                        Some(AbsVal::Int(iv)) => iv.as_singleton().filter(|k| *k >= 0),
+                        Some(AbsVal::Int(iv)) => iv
+                            .as_singleton()
+                            .filter(|k| (0..=u32::MAX as i128).contains(k)),
                         _ => None,
                     };
-                    // The VM's malloc grows linear memory as needed and
-                    // always returns a non-null payload pointer.
                     AbsVal::Ptr(match size {
                         Some(k) => PtrVal {
                             base: PtrBase::Alloc { size: k as u64 },
@@ -1094,16 +1033,14 @@ impl<'a> Interp<'a> {
                             null: Nullness::NonNull,
                         },
                         None => PtrVal {
-                            base: PtrBase::Unknown,
                             off: Interval::singleton(0),
-                            null: Nullness::NonNull,
+                            ..PtrVal::unknown()
                         },
                     })
                 }
                 Builtin::Realloc => AbsVal::Ptr(PtrVal {
-                    base: PtrBase::Unknown,
                     off: Interval::singleton(0),
-                    null: Nullness::NonNull,
+                    ..PtrVal::unknown()
                 }),
                 Builtin::Rand => AbsVal::Int(Interval::full_for(ScalarTy::I32)),
                 _ => AbsVal::Any,
@@ -1193,51 +1130,33 @@ impl<'a> Interp<'a> {
 
     fn classify(&self, av: &AbsVal, size: u64) -> Verdict {
         let AbsVal::Ptr(p) = av else {
-            return Verdict::Unknown {
-                reason: "address value unknown at stage time".into(),
-            };
+            return Verdict::Clean;
         };
         if p.null == Nullness::Null {
             return Verdict::DefiniteNull;
         }
-        match self.base_size(&p.base) {
-            Some(obj) => {
-                let size = size as i128;
-                let obj_i = obj as i128;
-                if p.off.lo >= 0 && p.off.hi + size <= obj_i {
-                    Verdict::Proven
-                } else if p.off.hi < 0 || p.off.lo > obj_i - size {
-                    let off = if p.off.lo == p.off.hi {
-                        format!("{}", p.off.lo)
-                    } else {
-                        format!("{}..={}", p.off.lo, p.off.hi)
-                    };
-                    Verdict::DefiniteOob {
-                        detail: format!(
-                            "at offset {off} of {}, which is {obj} byte(s)",
-                            self.base_desc(&p.base)
-                        ),
-                    }
-                } else {
-                    Verdict::Unknown {
-                        reason: format!(
-                            "offset range [{}, {}] not provably within the {obj}-byte \
-                             object",
-                            p.off.lo, p.off.hi
-                        ),
-                    }
-                }
+        let Some(obj) = self.base_size(&p.base) else {
+            return Verdict::Clean;
+        };
+        let obj_i = obj as i128;
+        if p.off.hi < 0 || p.off.lo > obj_i - size as i128 {
+            let off = if p.off.lo == p.off.hi {
+                format!("{}", p.off.lo)
+            } else {
+                format!("{}..={}", p.off.lo, p.off.hi)
+            };
+            Verdict::DefiniteOob {
+                detail: format!(
+                    "at offset {off} of {}, which is {obj} byte(s)",
+                    self.base_desc(&p.base)
+                ),
             }
-            None => Verdict::Unknown {
-                reason: match p.base {
-                    PtrBase::Param(_) => "points into caller-owned memory of unknown size".into(),
-                    _ => "target allocation unknown at stage time".into(),
-                },
-            },
+        } else {
+            Verdict::Clean
         }
     }
 
-    fn access(&mut self, addr: &IrExpr, av: &AbsVal, size: Option<u64>, what: &'static str) {
+    fn access(&mut self, av: &AbsVal, size: Option<u64>, what: &'static str) {
         // Summary demand: unconditional constant-offset accesses through a
         // pointer parameter.
         if let (Mode::Summary, AbsVal::Ptr(p), Some(size)) = (&self.mode, av, size) {
@@ -1251,30 +1170,7 @@ impl<'a> Interp<'a> {
         }
         let Some(size) = size else { return };
         match self.classify(av, size) {
-            Verdict::Proven => {
-                if let Mode::Elide(_) = self.mode {
-                    self.pending.push(addr.clone());
-                    let (line, prov) = (self.cur_span.line, self.cur_prov.clone());
-                    if let Mode::Elide(remarks) = &mut self.mode {
-                        let msg = match av {
-                            AbsVal::Ptr(p) => format!(
-                                "bounds check elided: {what} of {size} byte(s) proven \
-                                 within {}",
-                                match &p.base {
-                                    PtrBase::Local(l) =>
-                                        format!("'{}'", self.f.locals[l.0 as usize].name),
-                                    PtrBase::Global(g) => format!("global#{}", g.0),
-                                    PtrBase::Alloc { size } =>
-                                        format!("a {size}-byte heap allocation"),
-                                    _ => "its object".into(),
-                                }
-                            ),
-                            _ => format!("bounds check elided: {what} of {size} byte(s)"),
-                        };
-                        remarks.push(Remark::applied("checkelim", line, prov, msg));
-                    }
-                }
-            }
+            Verdict::Clean => {}
             Verdict::DefiniteNull => {
                 self.warn(
                     "null-deref",
@@ -1289,19 +1185,6 @@ impl<'a> Interp<'a> {
                              execution that reaches it"
                     ),
                 );
-            }
-            Verdict::Unknown { reason } => {
-                if self.loop_depth > 0 {
-                    let (line, prov) = (self.cur_span.line, self.cur_prov.clone());
-                    if let Mode::Elide(remarks) = &mut self.mode {
-                        remarks.push(Remark::missed(
-                            "checkelim",
-                            line,
-                            prov,
-                            format!("{what} kept checked: {reason}"),
-                        ));
-                    }
-                }
             }
         }
     }

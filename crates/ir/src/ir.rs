@@ -268,12 +268,6 @@ pub struct IrStmt {
     /// splice, a macro, or the inliner (`None` for code written inline in
     /// its function). Metadata like `span`: equality ignores it.
     pub prov: Option<Provenance>,
-    /// Address expressions within this statement whose memory accesses the
-    /// `checkelim` pass proved in-bounds (matched structurally at bytecode
-    /// compilation; instructions for these addresses skip the runtime
-    /// bounds check). Metadata like `span`: equality ignores it, and it is
-    /// only ever populated by the last pass in the `-O2` pipeline.
-    pub nochk: Vec<IrExpr>,
     /// The operation itself.
     pub kind: StmtKind,
 }
@@ -285,7 +279,6 @@ impl IrStmt {
             span: Span::synthetic(),
             implicit: false,
             prov: None,
-            nochk: Vec::new(),
             kind,
         }
     }
@@ -296,7 +289,6 @@ impl IrStmt {
             span,
             implicit: false,
             prov: None,
-            nochk: Vec::new(),
             kind,
         }
     }
@@ -307,7 +299,6 @@ impl IrStmt {
             span,
             implicit: true,
             prov: None,
-            nochk: Vec::new(),
             kind,
         }
     }

@@ -7,7 +7,7 @@
 //! |-------|----------|
 //! | `-O0` | none — the typechecker's IR compiles as-is |
 //! | `-O1` | fold → simplify → copyprop → dce |
-//! | `-O2` | inline → fold → simplify → cse → copyprop → licm → copyprop → dce → checkelim |
+//! | `-O2` | inline → fold → simplify → cse → copyprop → licm → copyprop → dce |
 //!
 //! Every pass must preserve *observable semantics*: outputs, stores, traps
 //! (including which trap fires first), and calls. The shared vocabulary for
@@ -26,7 +26,6 @@
 //! can emit one trace span per pass (`--profile` shows where compile time
 //! goes).
 
-mod checkelim;
 mod copyprop;
 mod cse;
 mod dce;
@@ -36,7 +35,7 @@ mod licm;
 mod simplify;
 pub mod util;
 
-use crate::analysis::{verify_function, ModuleEnv, Summaries};
+use crate::analysis::{verify_function, ModuleEnv};
 use crate::ir::{FuncId, IrFunction};
 use crate::types::TypeRegistry;
 use std::sync::Arc;
@@ -108,12 +107,6 @@ pub struct PassConfig<'a> {
     pub env: &'a dyn ModuleEnv,
     /// Callee IR source for the inliner.
     pub inline: &'a dyn InlineEnv,
-    /// Interprocedural summaries for the abstract interpreter (`None` runs
-    /// it intraprocedurally).
-    pub summaries: Option<&'a Summaries>,
-    /// Whether the `checkelim` pass may stamp proven accesses check-free at
-    /// `-O2`. Off under `--sanitize` or `--no-checkelim`.
-    pub elide_checks: bool,
 }
 
 /// Whether a remark reports a transformation that happened or an
@@ -226,7 +219,6 @@ enum Pass {
     CopyProp,
     Licm,
     Dce,
-    CheckElim,
 }
 
 impl Pass {
@@ -239,7 +231,6 @@ impl Pass {
             Pass::CopyProp => "copyprop",
             Pass::Licm => "licm",
             Pass::Dce => "dce",
-            Pass::CheckElim => "checkelim",
         }
     }
 
@@ -252,11 +243,6 @@ impl Pass {
             Pass::CopyProp => copyprop::run(f, remarks),
             Pass::Licm => licm::run(f, cfg, remarks),
             Pass::Dce => dce::run(f, remarks),
-            Pass::CheckElim => {
-                if cfg.elide_checks {
-                    checkelim::run(f, cfg, remarks);
-                }
-            }
         }
     }
 }
@@ -274,9 +260,6 @@ fn pipeline(level: OptLevel) -> &'static [Pass] {
             Pass::Licm,
             Pass::CopyProp,
             Pass::Dce,
-            // Must stay last: it stamps address expressions that later
-            // rewrites would invalidate.
-            Pass::CheckElim,
         ],
     }
 }

@@ -29,8 +29,6 @@ fn cfg(level: OptLevel, inline: &dyn InlineEnv) -> PassConfig<'_> {
         types: None,
         env: &NoEnv,
         inline,
-        summaries: None,
-        elide_checks: true,
     }
 }
 
@@ -496,17 +494,7 @@ fn pipeline_reports_per_pass_timing() {
     let names: Vec<_> = stats.runs.iter().map(|r| r.pass).collect();
     assert_eq!(
         names,
-        [
-            "inline",
-            "fold",
-            "simplify",
-            "cse",
-            "copyprop",
-            "licm",
-            "copyprop",
-            "dce",
-            "checkelim"
-        ]
+        ["inline", "fold", "simplify", "cse", "copyprop", "licm", "copyprop", "dce"]
     );
     assert!(stats.runs.iter().any(|r| r.changed), "simplify should fire");
 }

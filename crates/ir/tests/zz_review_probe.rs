@@ -53,8 +53,6 @@ fn cse_self_referential_assign() {
         types: None,
         env: &NoEnv,
         inline: &NoInline,
-        summaries: None,
-        elide_checks: true,
     };
     optimize(&mut f, &cfg);
     eprintln!("{f:#?}");

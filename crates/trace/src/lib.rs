@@ -237,9 +237,9 @@ impl Tracer {
 
     /// Counts one retired instruction toward the next sample; when the
     /// interval elapses, captures the current activation stack. The VM
-    /// calls this once per instruction while [`Tracer::sampling`] is on —
-    /// retired instructions only, so the sample points are independent of
-    /// whether the exact profiler (and its `chk` pseudo-ops) is also on.
+    /// calls this once per instruction while [`Tracer::sampling`] is on, so
+    /// the sample points are independent of whether the exact profiler is
+    /// also on.
     #[inline]
     pub fn sample_tick(&mut self) {
         if !self.sampler.active() {

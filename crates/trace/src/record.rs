@@ -28,7 +28,7 @@
 use std::fmt::Write as _;
 
 /// `.rec` text format version. The parser rejects anything else loudly.
-pub const REC_FORMAT_VERSION: u32 = 1;
+pub const REC_FORMAT_VERSION: u32 = 2;
 
 /// Default checkpoint cadence: one checksum every this many heap effects.
 pub const DEFAULT_CADENCE: u64 = 4096;
@@ -95,8 +95,6 @@ pub struct RecMeta {
     pub script: String,
     /// Optimization level (0, 1, or 2).
     pub opt: u8,
-    /// Whether bounds-check elision was enabled.
-    pub checkelim: bool,
     /// Whether the memory sanitizer was enabled.
     pub sanitize: bool,
     /// Checkpoint cadence in effects.
@@ -111,7 +109,6 @@ impl RecMeta {
         RecMeta {
             script: script.to_string(),
             opt,
-            checkelim: false,
             sanitize: false,
             cadence: DEFAULT_CADENCE,
             window: None,
@@ -471,13 +468,8 @@ impl Recording {
         };
         let _ = writeln!(
             s,
-            "meta cadence={} opt={} checkelim={} sanitize={} window={} script={}",
-            self.meta.cadence,
-            self.meta.opt,
-            self.meta.checkelim as u8,
-            self.meta.sanitize as u8,
-            window,
-            self.meta.script
+            "meta cadence={} opt={} sanitize={} window={} script={}",
+            self.meta.cadence, self.meta.opt, self.meta.sanitize as u8, window, self.meta.script
         );
         for c in &self.checkpoints {
             let _ = writeln!(
@@ -645,7 +637,6 @@ fn parse_meta(line: &str) -> Result<RecMeta, String> {
     Ok(RecMeta {
         cadence: f.u64("cadence")?,
         opt: f.u64("opt")? as u8,
-        checkelim: f.u64("checkelim")? != 0,
         sanitize: f.u64("sanitize")? != 0,
         window,
         script: f.tail("script").ok_or("missing field script=")?.to_string(),
@@ -775,7 +766,7 @@ mod tests {
     fn text_round_trip_coarse() {
         let r = sample_recording(None);
         let text = r.to_text();
-        assert!(text.starts_with("#terra-rec v1\n"));
+        assert!(text.starts_with("#terra-rec v2\n"));
         let back = Recording::parse(&text).expect("parse");
         assert_eq!(back, r);
         assert!(back.effects.is_empty(), "coarse mode records no effects");
@@ -796,9 +787,12 @@ mod tests {
     #[test]
     fn unknown_version_is_rejected() {
         let r = sample_recording(None);
-        let text = r.to_text().replace("#terra-rec v1", "#terra-rec v9");
-        let err = Recording::parse(&text).unwrap_err();
-        assert!(err.contains("unsupported recording format"), "{err}");
+        // v1 recordings carried a `checkelim=` meta key that no longer exists.
+        for old in ["#terra-rec v1", "#terra-rec v9"] {
+            let text = r.to_text().replace("#terra-rec v2", old);
+            let err = Recording::parse(&text).unwrap_err();
+            assert!(err.contains("unsupported recording format"), "{err}");
+        }
     }
 
     #[test]

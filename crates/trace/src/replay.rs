@@ -231,22 +231,10 @@ where
             effects: a.total_effects,
         });
     };
-    let label = |m: &RecMeta| {
-        if a.meta.opt != b.meta.opt {
-            format!("-O{}", m.opt)
-        } else if a.meta.checkelim != b.meta.checkelim {
-            format!("checkelim={}", m.checkelim as u8)
-        } else {
-            String::new()
-        }
-    };
-    let (la, lb) = {
-        let (la, lb) = (label(&a.meta), label(&b.meta));
-        if la.is_empty() || la == lb {
-            ("A".to_string(), "B".to_string())
-        } else {
-            (la, lb)
-        }
+    let (la, lb) = if a.meta.opt != b.meta.opt {
+        (format!("-O{}", a.meta.opt), format!("-O{}", b.meta.opt))
+    } else {
+        ("A".to_string(), "B".to_string())
     };
     let mut wa = a.meta.clone();
     wa.window = Some(window);

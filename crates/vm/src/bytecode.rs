@@ -930,33 +930,6 @@ pub enum Instr {
 }
 
 impl Instr {
-    /// Whether this instruction performs a bounds-checked memory access —
-    /// the instructions the `checkelim` pass can mark check-free.
-    /// `Prefetch` is excluded: hints never trap, so they carry no check.
-    pub fn is_mem_access(&self) -> bool {
-        matches!(
-            self,
-            Instr::LoadI8 { .. }
-                | Instr::LoadU8 { .. }
-                | Instr::LoadI16 { .. }
-                | Instr::LoadU16 { .. }
-                | Instr::LoadI32 { .. }
-                | Instr::LoadU32 { .. }
-                | Instr::Load64 { .. }
-                | Instr::LoadF32 { .. }
-                | Instr::LoadF64 { .. }
-                | Instr::LoadV { .. }
-                | Instr::Store8 { .. }
-                | Instr::Store16 { .. }
-                | Instr::Store32 { .. }
-                | Instr::Store64 { .. }
-                | Instr::StoreF32 { .. }
-                | Instr::StoreF64 { .. }
-                | Instr::StoreV { .. }
-                | Instr::CopyMem { .. }
-        )
-    }
-
     /// The instruction's mnemonic, used as the key for the profiler's
     /// per-opcode execution counters and in disassembly-style reports.
     pub fn mnemonic(&self) -> &'static str {
@@ -1112,11 +1085,6 @@ pub struct CompiledFunction {
     /// line 41, inlined at line 30"`). Kept separate because many
     /// instructions share the same chain.
     pub prov_table: Vec<Arc<str>>,
-    /// Per-instruction check-elision flags (parallel to `code`; may be
-    /// empty = all checked). `true` means the mid-end proved the memory
-    /// access at that pc in-bounds and the VM may skip its bounds check.
-    /// Ignored under `--sanitize`.
-    pub nochk: Vec<bool>,
 }
 
 impl CompiledFunction {
@@ -1125,13 +1093,6 @@ impl CompiledFunction {
     #[inline]
     pub fn line_at(&self, pc: usize) -> u32 {
         self.lines.get(pc).copied().unwrap_or(0)
-    }
-
-    /// Whether the memory access at `pc` was proven in-bounds by the
-    /// mid-end and may run without its runtime check.
-    #[inline]
-    pub fn check_free(&self, pc: usize) -> bool {
-        self.nochk.get(pc).copied().unwrap_or(false)
     }
 
     /// The rendered staging chain of the instruction at `pc`, if it arrived

@@ -79,7 +79,6 @@ pub fn compile(
     c.flush_lines();
     debug_assert_eq!(c.lines.len(), c.code.len());
     debug_assert_eq!(c.provs.len(), c.code.len());
-    debug_assert_eq!(c.nochk.len(), c.code.len());
     CompiledFunction {
         name: func.name.clone(),
         ty: func.ty.clone(),
@@ -89,7 +88,6 @@ pub fn compile(
         lines: c.lines,
         provs: c.provs,
         prov_table: c.prov_table,
-        nochk: c.nochk,
     }
 }
 
@@ -111,14 +109,6 @@ struct Compiler<'a> {
     cur_prov: u32,
     /// Interned rendered staging chains; `provs` holds `index + 1`.
     prov_table: Vec<std::sync::Arc<str>>,
-    /// Check-elision flags built alongside `code` (parallel; default
-    /// false = checked). Set for memory instructions whose address
-    /// expression the mid-end proved in-bounds.
-    nochk: Vec<bool>,
-    /// Proven address expressions of the statement being compiled
-    /// (`IrStmt::nochk`), matched structurally against the address operand
-    /// of each emitted memory instruction.
-    cur_nochk: Vec<IrExpr>,
     /// Register assigned to each register-class local (NO_REG if in memory).
     local_regs: Vec<Reg>,
     /// Frame offset of each in-memory local (u32::MAX otherwise).
@@ -170,8 +160,6 @@ impl<'a> Compiler<'a> {
             provs: Vec::new(),
             cur_prov: 0,
             prov_table: Vec::new(),
-            nochk: Vec::new(),
-            cur_nochk: Vec::new(),
             local_regs,
             local_offsets,
             temp_base: next_reg,
@@ -216,21 +204,6 @@ impl<'a> Compiler<'a> {
     fn flush_lines(&mut self) {
         self.lines.resize(self.code.len(), self.cur_line);
         self.provs.resize(self.code.len(), self.cur_prov);
-        self.nochk.resize(self.code.len(), false);
-    }
-
-    /// Marks the most recently emitted instruction check-free.
-    fn mark_nochk(&mut self) {
-        self.nochk.resize(self.code.len(), false);
-        if let Some(last) = self.nochk.last_mut() {
-            *last = true;
-        }
-    }
-
-    /// Whether the current statement's mid-end annotations prove `addr`
-    /// in-bounds for the access it feeds.
-    fn addr_proven(&self, addr: &IrExpr) -> bool {
-        !self.cur_nochk.is_empty() && self.cur_nochk.iter().any(|p| p == addr)
     }
 
     /// Interns a rendered staging chain, returning its `provs` id
@@ -270,16 +243,12 @@ impl<'a> Compiler<'a> {
             Some(p) => self.intern_prov(p.describe()),
             None => 0,
         };
-        let saved_nochk = std::mem::replace(&mut self.cur_nochk, s.nochk.clone());
         match &s.kind {
             StmtKind::Assign { dst, value } => self.compile_assign(*dst, value),
             StmtKind::Store { addr, value } => {
                 let a = self.expr(addr, None);
                 let v = self.expr(value, None);
                 self.emit_store(&value.ty, a, v);
-                if self.addr_proven(addr) {
-                    self.mark_nochk();
-                }
             }
             StmtKind::CopyMem { dst, src, size } => {
                 let d = self.expr(dst, None);
@@ -289,10 +258,6 @@ impl<'a> Compiler<'a> {
                     src: s,
                     size: *size as u32,
                 });
-                // A copy touches two objects; both ends must be proven.
-                if self.addr_proven(dst) && self.addr_proven(src) {
-                    self.mark_nochk();
-                }
             }
             StmtKind::Expr(e) => {
                 let _ = self.expr(e, None);
@@ -439,7 +404,6 @@ impl<'a> Compiler<'a> {
         self.flush_lines();
         self.cur_line = saved_line;
         self.cur_prov = saved_prov;
-        self.cur_nochk = saved_nochk;
         self.release(mark);
     }
 
@@ -594,11 +558,6 @@ impl<'a> Compiler<'a> {
                 let a = self.expr(addr, None);
                 let d = dst(self);
                 self.emit_load(&e.ty, d, a);
-                // Array loads decay to a Mov (no memory touched), so there
-                // is no check to elide.
-                if !matches!(e.ty, Ty::Array(..)) && self.addr_proven(addr) {
-                    self.mark_nochk();
-                }
                 d
             }
             ExprKind::Binary { op, lhs, rhs } => {

@@ -437,12 +437,6 @@ impl ExecutionContext {
                 pc += 1;
                 if profiling {
                     self.trace.tick(instr.mnemonic());
-                    // A checked memory access retires an extra bounds-check
-                    // micro-op; elided accesses skip it, which is what the
-                    // checked-vs-elided instruction counts measure.
-                    if instr.is_mem_access() && !func.check_free(pc - 1) {
-                        self.trace.tick("chk");
-                    }
                     // Attribute any memory traffic this instruction performs
                     // to its (function, source line) for the cache simulator.
                     self.memory
@@ -607,62 +601,36 @@ impl ExecutionContext {
                     Instr::CvtF32ToF64 { d, a } => set!(d, from_f64(as_f32(r!(a)) as f64)),
                     Instr::CvtF64ToF32 { d, a } => set!(d, from_f32(as_f64(r!(a)) as f32)),
 
-                    Instr::LoadI8 { d, a } => {
-                        let chk = !func.check_free(pc - 1);
-                        seti!(d, mem!(self.memory.load_i8_sel(ru!(a), chk)) as i64)
-                    }
-                    Instr::LoadU8 { d, a } => {
-                        let chk = !func.check_free(pc - 1);
-                        seti!(d, mem!(self.memory.load_u8_sel(ru!(a), chk)) as i64)
-                    }
-                    Instr::LoadI16 { d, a } => {
-                        let chk = !func.check_free(pc - 1);
-                        seti!(d, mem!(self.memory.load_i16_sel(ru!(a), chk)) as i64)
-                    }
-                    Instr::LoadU16 { d, a } => {
-                        let chk = !func.check_free(pc - 1);
-                        seti!(d, mem!(self.memory.load_u16_sel(ru!(a), chk)) as i64)
-                    }
-                    Instr::LoadI32 { d, a } => {
-                        let chk = !func.check_free(pc - 1);
-                        seti!(d, mem!(self.memory.load_i32_sel(ru!(a), chk)) as i64)
-                    }
-                    Instr::LoadU32 { d, a } => {
-                        let chk = !func.check_free(pc - 1);
-                        seti!(d, mem!(self.memory.load_u32_sel(ru!(a), chk)) as i64)
-                    }
-                    Instr::Load64 { d, a } => {
-                        let chk = !func.check_free(pc - 1);
-                        seti!(d, mem!(self.memory.load_i64_sel(ru!(a), chk)))
-                    }
+                    Instr::LoadI8 { d, a } => seti!(d, mem!(self.memory.load_i8(ru!(a))) as i64),
+                    Instr::LoadU8 { d, a } => seti!(d, mem!(self.memory.load_u8(ru!(a))) as i64),
+                    Instr::LoadI16 { d, a } => seti!(d, mem!(self.memory.load_i16(ru!(a))) as i64),
+                    Instr::LoadU16 { d, a } => seti!(d, mem!(self.memory.load_u16(ru!(a))) as i64),
+                    Instr::LoadI32 { d, a } => seti!(d, mem!(self.memory.load_i32(ru!(a))) as i64),
+                    Instr::LoadU32 { d, a } => seti!(d, mem!(self.memory.load_u32(ru!(a))) as i64),
+                    Instr::Load64 { d, a } => seti!(d, mem!(self.memory.load_i64(ru!(a)))),
                     Instr::LoadF32 { d, a } => {
-                        let chk = !func.check_free(pc - 1);
-                        set!(d, from_f32(mem!(self.memory.load_f32_sel(ru!(a), chk))))
+                        set!(d, from_f32(mem!(self.memory.load_f32(ru!(a)))))
                     }
                     Instr::LoadF64 { d, a } => {
-                        let chk = !func.check_free(pc - 1);
-                        set!(d, from_f64(mem!(self.memory.load_f64_sel(ru!(a), chk))))
+                        set!(d, from_f64(mem!(self.memory.load_f64(ru!(a)))))
                     }
                     Instr::Store8 { a, s } => {
-                        let chk = !func.check_free(pc - 1);
                         let (addr, v) = (ru!(a), ru!(s));
-                        mem!(self.memory.store_u8_sel(addr, v as u8, chk));
+                        mem!(self.memory.store_u8(addr, v as u8));
                         if recording {
                             self.record_store(&func, pc - 1, instr.mnemonic(), addr, v & 0xff, 1);
                         }
                     }
                     Instr::Store16 { a, s } => {
-                        let chk = !func.check_free(pc - 1);
                         let (addr, v) = (ru!(a), ru!(s));
-                        mem!(self.memory.store_u16_sel(addr, v as u16, chk));
+                        mem!(self.memory.store_u16(addr, v as u16));
                         if recording {
                             self.record_store(&func, pc - 1, instr.mnemonic(), addr, v & 0xffff, 2);
                         }
                     }
                     Instr::Store32 { a, s } => {
-                        let chk = !func.check_free(pc - 1);
                         let (addr, v) = (ru!(a), ru!(s));
-                        mem!(self.memory.store_u32_sel(addr, v as u32, chk));
+                        mem!(self.memory.store_u32(addr, v as u32));
                         if recording {
                             self.record_store(
                                 &func,
@@ -675,17 +643,15 @@ impl ExecutionContext {
                         }
                     }
                     Instr::Store64 { a, s } => {
-                        let chk = !func.check_free(pc - 1);
                         let (addr, v) = (ru!(a), ru!(s));
-                        mem!(self.memory.store_u64_sel(addr, v, chk));
+                        mem!(self.memory.store_u64(addr, v));
                         if recording {
                             self.record_store(&func, pc - 1, instr.mnemonic(), addr, v, 8);
                         }
                     }
                     Instr::StoreF32 { a, s } => {
-                        let chk = !func.check_free(pc - 1);
                         let (addr, v) = (ru!(a), as_f32(r!(s)));
-                        mem!(self.memory.store_f32_sel(addr, v, chk));
+                        mem!(self.memory.store_f32(addr, v));
                         if recording {
                             self.record_store(
                                 &func,
@@ -698,9 +664,8 @@ impl ExecutionContext {
                         }
                     }
                     Instr::StoreF64 { a, s } => {
-                        let chk = !func.check_free(pc - 1);
                         let (addr, v) = (ru!(a), as_f64(r!(s)));
-                        mem!(self.memory.store_f64_sel(addr, v, chk));
+                        mem!(self.memory.store_f64(addr, v));
                         if recording {
                             self.record_store(
                                 &func,
@@ -713,13 +678,11 @@ impl ExecutionContext {
                         }
                     }
                     Instr::LoadV { d, a, bytes } => {
-                        let chk = !func.check_free(pc - 1);
-                        set!(d, mem!(self.memory.load_vec_sel(ru!(a), bytes as u64, chk)))
+                        set!(d, mem!(self.memory.load_vec(ru!(a), bytes as u64)))
                     }
                     Instr::StoreV { a, s, bytes } => {
-                        let chk = !func.check_free(pc - 1);
                         let (addr, v) = (ru!(a), r!(s));
-                        mem!(self.memory.store_vec_sel(addr, v, bytes as u64, chk));
+                        mem!(self.memory.store_vec(addr, v, bytes as u64));
                         if recording {
                             // Vector stores don't fit 64 value bits; record
                             // the FNV digest of the stored LE byte image.
@@ -740,9 +703,8 @@ impl ExecutionContext {
                     }
                     Instr::FrameAddr { d, offset } => seti!(d, (mem_base + offset as u64) as i64),
                     Instr::CopyMem { dst, src, size } => {
-                        let chk = !func.check_free(pc - 1);
                         let (d, s) = (ru!(dst), ru!(src));
-                        mem!(self.memory.copy_within_sel(s, d, size as u64, chk));
+                        mem!(self.memory.copy_within(s, d, size as u64));
                         if recording && d >= self.memory.heap_base() {
                             self.record_effect_at(
                                 &func,
@@ -1261,7 +1223,6 @@ mod tests {
             frame_size: 0,
             code,
             lines: Vec::new(),
-            nochk: Vec::new(),
         }
     }
 

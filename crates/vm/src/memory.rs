@@ -101,6 +101,8 @@ pub type MemResult<T> = Result<T, MemError>;
 const NULL_GUARD: u64 = 64;
 /// Size-class header stored before each heap block.
 const BLOCK_HEADER: u64 = 16;
+/// Exclusive upper bound on heap size classes (block size `1 << class`).
+const MAX_CLASS: usize = 48;
 
 /// Who owns the bytes behind a [`Memory`].
 #[derive(Debug)]
@@ -513,19 +515,28 @@ impl Memory {
 
     // -- heap ----------------------------------------------------------------
 
-    fn size_class(size: u64) -> usize {
-        let padded = (size.max(1) + BLOCK_HEADER).next_power_of_two();
-        padded.trailing_zeros() as usize
+    /// Size class holding a `size`-byte payload plus its header, or `None`
+    /// when that block size is not representable.
+    fn size_class(size: u64) -> Option<usize> {
+        let padded = size
+            .max(1)
+            .checked_add(BLOCK_HEADER)?
+            .checked_next_power_of_two()?;
+        Some(padded.trailing_zeros() as usize).filter(|&c| c < MAX_CLASS)
     }
 
     /// Allocates `size` bytes, returning a non-null, 16-byte-aligned address.
-    /// `malloc(0)` returns a valid unique pointer. On a shared worker view
-    /// allocation is impossible (the buffer must not grow while other
-    /// workers hold the same pointer) and `malloc` returns null; the
-    /// parallel harness statically rejects kernels that allocate, so this
-    /// is a defensive backstop, not a reachable path.
+    /// `malloc(0)` returns a valid unique pointer. Like C, returns null when
+    /// the block size is not representable or the host cannot reserve the
+    /// memory. On a shared worker view allocation is impossible (the buffer
+    /// must not grow while other workers hold the same pointer) and
+    /// `malloc` returns null; the parallel harness statically rejects
+    /// kernels that allocate, so this is a defensive backstop, not a
+    /// reachable path.
     pub fn malloc(&mut self, size: u64) -> u64 {
-        let class = Self::size_class(size);
+        let Some(class) = Self::size_class(size) else {
+            return 0;
+        };
         let block_size = 1u64 << class;
         let base = if let Some(addr) = self.free_lists.get_mut(class).and_then(|list| list.pop()) {
             addr
@@ -536,8 +547,11 @@ impl Memory {
             let base = self.brk;
             let needed = base + block_size;
             if needed > data.len() as u64 {
-                let new_len = needed.next_power_of_two().max(data.len() as u64 * 2);
-                data.resize(new_len as usize, 0);
+                let new_len = needed.next_power_of_two().max(data.len() as u64 * 2) as usize;
+                if data.try_reserve_exact(new_len - data.len()).is_err() {
+                    return 0;
+                }
+                data.resize(new_len, 0);
             }
             self.brk += block_size;
             base
@@ -568,13 +582,6 @@ impl Memory {
         if ptr == 0 {
             return Ok(());
         }
-        if ptr < BLOCK_HEADER || ptr - BLOCK_HEADER < NULL_GUARD + self.stack_size {
-            return Err(MemError {
-                addr: ptr,
-                len: 0,
-                kind: MemKind::BadFree,
-            });
-        }
         if self.sanitize && self.freed.contains_key(&ptr) {
             return Err(MemError {
                 addr: ptr,
@@ -582,18 +589,8 @@ impl Memory {
                 kind: MemKind::DoubleFree,
             });
         }
+        let class = self.block_class(ptr)?;
         let base = ptr - BLOCK_HEADER;
-        self.check(base, 8)?;
-        let mut class_bytes = [0u8; 8];
-        self.raw_read(base, &mut class_bytes);
-        let class = u64::from_le_bytes(class_bytes) as usize;
-        if class >= 48 || class == 0 {
-            return Err(MemError {
-                addr: ptr,
-                len: 0,
-                kind: MemKind::BadFree,
-            });
-        }
         self.live_bytes = self.live_bytes.saturating_sub(1 << class);
         if self.profile {
             self.counters.note_free();
@@ -611,24 +608,47 @@ impl Memory {
     }
 
     /// `realloc`: grows/shrinks an allocation, copying the old contents.
+    /// Like C, returns null and leaves the old block intact when the new
+    /// block cannot be allocated.
     pub fn realloc(&mut self, ptr: u64, size: u64) -> MemResult<u64> {
         if ptr == 0 {
             return Ok(self.malloc(size));
+        }
+        let old_class = self.block_class(ptr)?;
+        let old_payload = (1u64 << old_class) - BLOCK_HEADER;
+        if size <= old_payload {
+            return Ok(ptr);
+        }
+        let new_ptr = self.malloc(size);
+        if new_ptr == 0 {
+            return Ok(0);
+        }
+        self.copy_within(ptr, new_ptr, old_payload)?;
+        self.free(ptr)?;
+        Ok(new_ptr)
+    }
+
+    /// The validated size class in the header of the heap block whose
+    /// payload starts at `ptr`.
+    fn block_class(&self, ptr: u64) -> MemResult<usize> {
+        let bad = MemError {
+            addr: ptr,
+            len: 0,
+            kind: MemKind::BadFree,
+        };
+        if ptr < BLOCK_HEADER || ptr - BLOCK_HEADER < NULL_GUARD + self.stack_size {
+            return Err(bad);
         }
         let base = ptr - BLOCK_HEADER;
         self.check(base, 8)?;
         let mut class_bytes = [0u8; 8];
         self.raw_read(base, &mut class_bytes);
-        let old_class = u64::from_le_bytes(class_bytes) as usize;
-        let old_payload = (1u64 << old_class) - BLOCK_HEADER;
-        if size + BLOCK_HEADER <= (1u64 << old_class) {
-            return Ok(ptr);
+        let class = u64::from_le_bytes(class_bytes) as usize;
+        if (1..MAX_CLASS).contains(&class) {
+            Ok(class)
+        } else {
+            Err(bad)
         }
-        let new_ptr = self.malloc(size);
-        let n = old_payload.min(size);
-        self.copy_within(ptr, new_ptr, n)?;
-        self.free(ptr)?;
-        Ok(new_ptr)
     }
 
     // -- raw access ----------------------------------------------------------
@@ -683,27 +703,8 @@ impl Memory {
 
     /// `memmove`-style copy within the address space.
     pub fn copy_within(&mut self, src: u64, dst: u64, len: u64) -> MemResult<()> {
-        self.copy_within_sel(src, dst, len, true)
-    }
-
-    /// [`Memory::copy_within`] with a selectable bounds check: `checked:
-    /// false` means the compiler proved both ranges in-bounds and only the
-    /// cheap end-of-memory backstop runs. Ignored under the sanitizer,
-    /// which always takes the full checked path.
-    pub fn copy_within_sel(
-        &mut self,
-        src: u64,
-        dst: u64,
-        len: u64,
-        checked: bool,
-    ) -> MemResult<()> {
-        if checked || self.sanitize {
-            self.check(src, len)?;
-            self.check(dst, len)?;
-        } else if src.saturating_add(len).max(dst.saturating_add(len)) > self.backing.len() as u64 {
-            // Backstop: a miscompiled elision must not escape the buffer.
-            return Err(MemError::oob(src.max(dst), len));
-        }
+        self.check(src, len)?;
+        self.check(dst, len)?;
         self.raw_copy(src, dst, len);
         Ok(())
     }
@@ -763,29 +764,12 @@ impl Memory {
 }
 
 macro_rules! scalar_access {
-    ($load:ident, $load_sel:ident, $store:ident, $store_sel:ident, $ty:ty, $n:expr) => {
+    ($load:ident, $store:ident, $ty:ty, $n:expr) => {
         impl Memory {
             #[doc = concat!("Loads a `", stringify!($ty), "`.")]
             #[inline]
             pub fn $load(&mut self, addr: u64) -> MemResult<$ty> {
-                self.$load_sel(addr, true)
-            }
-
-            #[doc = concat!(
-                                "Loads a `", stringify!($ty), "` with a selectable bounds ",
-                                "check: `checked: false` means the compiler proved the ",
-                                "access in-bounds and only the cheap end-of-memory backstop ",
-                                "runs. Ignored under the sanitizer, which always takes the ",
-                                "full checked path."
-                            )]
-            #[inline]
-            pub fn $load_sel(&mut self, addr: u64, checked: bool) -> MemResult<$ty> {
-                if checked || self.sanitize {
-                    self.check(addr, $n)?;
-                } else if addr.saturating_add($n) > self.backing.len() as u64 {
-                    // Backstop: a miscompiled elision must not escape the buffer.
-                    return Err(MemError::oob(addr, $n));
-                }
+                self.check(addr, $n)?;
                 if self.profile {
                     self.counters.note_load($n);
                     self.cache.access(addr, $n);
@@ -798,20 +782,7 @@ macro_rules! scalar_access {
             #[doc = concat!("Stores a `", stringify!($ty), "`.")]
             #[inline]
             pub fn $store(&mut self, addr: u64, v: $ty) -> MemResult<()> {
-                self.$store_sel(addr, v, true)
-            }
-
-            #[doc = concat!(
-                                "Stores a `", stringify!($ty), "` with a selectable bounds ",
-                                "check (see the `_sel` load variant)."
-                            )]
-            #[inline]
-            pub fn $store_sel(&mut self, addr: u64, v: $ty, checked: bool) -> MemResult<()> {
-                if checked || self.sanitize {
-                    self.check(addr, $n)?;
-                } else if addr.saturating_add($n) > self.backing.len() as u64 {
-                    return Err(MemError::oob(addr, $n));
-                }
+                self.check(addr, $n)?;
                 if self.profile {
                     self.counters.note_store($n);
                     // Write-allocate: stores walk the same fill path as loads.
@@ -824,33 +795,22 @@ macro_rules! scalar_access {
     };
 }
 
-scalar_access!(load_u8, load_u8_sel, store_u8, store_u8_sel, u8, 1);
-scalar_access!(load_i8, load_i8_sel, store_i8, store_i8_sel, i8, 1);
-scalar_access!(load_u16, load_u16_sel, store_u16, store_u16_sel, u16, 2);
-scalar_access!(load_i16, load_i16_sel, store_i16, store_i16_sel, i16, 2);
-scalar_access!(load_u32, load_u32_sel, store_u32, store_u32_sel, u32, 4);
-scalar_access!(load_i32, load_i32_sel, store_i32, store_i32_sel, i32, 4);
-scalar_access!(load_u64, load_u64_sel, store_u64, store_u64_sel, u64, 8);
-scalar_access!(load_i64, load_i64_sel, store_i64, store_i64_sel, i64, 8);
-scalar_access!(load_f32, load_f32_sel, store_f32, store_f32_sel, f32, 4);
-scalar_access!(load_f64, load_f64_sel, store_f64, store_f64_sel, f64, 8);
+scalar_access!(load_u8, store_u8, u8, 1);
+scalar_access!(load_i8, store_i8, i8, 1);
+scalar_access!(load_u16, store_u16, u16, 2);
+scalar_access!(load_i16, store_i16, i16, 2);
+scalar_access!(load_u32, store_u32, u32, 4);
+scalar_access!(load_i32, store_i32, i32, 4);
+scalar_access!(load_u64, store_u64, u64, 8);
+scalar_access!(load_i64, store_i64, i64, 8);
+scalar_access!(load_f32, store_f32, f32, 4);
+scalar_access!(load_f64, store_f64, f64, 8);
 
 impl Memory {
     /// Loads `len` (≤ 32) raw bytes into a vector register image.
     #[inline]
     pub fn load_vec(&mut self, addr: u64, len: u64) -> MemResult<[u64; 4]> {
-        self.load_vec_sel(addr, len, true)
-    }
-
-    /// [`Memory::load_vec`] with a selectable bounds check (see the scalar
-    /// `_sel` variants).
-    #[inline]
-    pub fn load_vec_sel(&mut self, addr: u64, len: u64, checked: bool) -> MemResult<[u64; 4]> {
-        if checked || self.sanitize {
-            self.check(addr, len)?;
-        } else if addr.saturating_add(len) > self.backing.len() as u64 {
-            return Err(MemError::oob(addr, len));
-        }
+        self.check(addr, len)?;
         if self.profile {
             self.counters.note_vec_load();
             self.cache.access(addr, len);
@@ -867,24 +827,7 @@ impl Memory {
     /// Stores the low `len` (≤ 32) bytes of a vector register image.
     #[inline]
     pub fn store_vec(&mut self, addr: u64, v: [u64; 4], len: u64) -> MemResult<()> {
-        self.store_vec_sel(addr, v, len, true)
-    }
-
-    /// [`Memory::store_vec`] with a selectable bounds check (see the scalar
-    /// `_sel` variants).
-    #[inline]
-    pub fn store_vec_sel(
-        &mut self,
-        addr: u64,
-        v: [u64; 4],
-        len: u64,
-        checked: bool,
-    ) -> MemResult<()> {
-        if checked || self.sanitize {
-            self.check(addr, len)?;
-        } else if addr.saturating_add(len) > self.backing.len() as u64 {
-            return Err(MemError::oob(addr, len));
-        }
+        self.check(addr, len)?;
         if self.profile {
             self.counters.note_vec_store();
             self.cache.access(addr, len);
@@ -940,6 +883,8 @@ mod tests {
         let mut m = Memory::default();
         m.free(0).unwrap();
         assert!(m.free(72).is_err()); // stack address, not heap
+        assert!(m.realloc(72, 8).is_err());
+        assert!(m.realloc(8, 8).is_err()); // below the block header size
     }
 
     #[test]
@@ -949,6 +894,27 @@ mod tests {
         m.store_u64(p, 0xDEADBEEF).unwrap();
         let q = m.realloc(p, 4096).unwrap();
         assert_eq!(m.load_u64(q).unwrap(), 0xDEADBEEF);
+    }
+
+    #[test]
+    fn malloc_of_unrepresentable_size_returns_null() {
+        let mut m = Memory::default();
+        let size = m.size();
+        assert_eq!(m.malloc(u64::MAX), 0);
+        assert_eq!(m.malloc(1 << 63), 0);
+        assert_eq!(m.size(), size, "a failed malloc commits no memory");
+        assert_eq!(m.live_bytes(), 0);
+    }
+
+    #[test]
+    fn failed_realloc_returns_null_and_keeps_old_block() {
+        let mut m = Memory::default();
+        let p = m.malloc(16);
+        m.store_u64(p, 0xDEADBEEF).unwrap();
+        assert_eq!(m.realloc(p, u64::MAX).unwrap(), 0);
+        assert_eq!(m.load_u64(p).unwrap(), 0xDEADBEEF);
+        m.free(p).unwrap();
+        assert_eq!(m.live_bytes(), 0);
     }
 
     #[test]

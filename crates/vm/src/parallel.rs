@@ -377,7 +377,6 @@ mod tests {
             frame_size: 0,
             code,
             lines: Vec::new(),
-            nochk: Vec::new(),
         }
     }
 
@@ -694,7 +693,6 @@ mod tests {
                     lines: Vec::new(),
                     provs: Vec::new(),
                     prov_table: Vec::new(),
-                    nochk: Vec::new(),
                 },
             );
             let base = ctx.memory.malloc(8 * 64);

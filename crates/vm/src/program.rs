@@ -171,7 +171,6 @@ mod tests {
             lines: vec![0],
             provs: vec![0],
             prov_table: Vec::new(),
-            nochk: vec![false],
         }
     }
 
